@@ -4,7 +4,8 @@ The batch blocker groups a frozen corpus by key in one pass; this index
 maintains the same grouping under inserts.  Each insert computes the
 description's blocking keys (token keys by default; pass a q-grams or
 composite blocker for other key spaces), appends the entity to the
-touched posting lists, and emits the **delta** — new comparison cells,
+touched posting lists, and emits the **delta** — new comparison cells
+(one call per touched key, carrying the opposite posting array),
 placements and block activations — to attached consumers (the
 :class:`~repro.stream.pairs.DeltaPairTable`).
 
@@ -59,18 +60,29 @@ def _posting_pair() -> tuple[array, array]:
 class DeltaConsumer:
     """Interface for delta-maintained structures attached to the index.
 
-    The index calls these hooks *during* each insert or delete, in a
-    fixed order: cells first (so pair statistics see the partner set as
-    it was before the entity joined or after it left), then
-    placements/activations.  The ``*_removed``/``*_deactivated`` hooks
-    mirror the insert hooks exactly — a delete emits the negation of
-    the deltas the corresponding inserts emitted.
+    The index calls these hooks *during* each insert or delete, key by
+    key, in a fixed order: cells first (so pair statistics see the
+    partner set as it was before the entity joined or after it left),
+    then placements/activations.  Cells arrive a key at a time —
+    one call hands over the whole opposite posting array, so a consumer
+    folds the key's cells in one loop instead of taking one call per
+    cell.  The ``*_removed``/``*_deactivated`` hooks mirror the insert
+    hooks exactly — a delete emits the negation of the deltas the
+    corresponding inserts emitted.
     """
 
     __slots__ = ()
 
-    def on_cell(self, id_a: int, id_b: int) -> None:
-        """One new comparison cell between two distinct entities."""
+    def on_cells(self, entity_id: int, partners) -> None:
+        """New comparison cells: *entity_id* against each of *partners*.
+
+        *partners* is the index's live posting array of the key's side
+        opposite the entity (its own side in a dirty store), read
+        before the entity joined; it may hold *entity_id* itself — an
+        entity posted on both sides of a bipartite block — which makes
+        no cell and must be skipped.  Iterate it during the call; do
+        not keep or mutate it.
+        """
 
     def on_placement(self, entity_id: int) -> None:
         """One new placement of an entity in a comparison-bearing block."""
@@ -78,8 +90,12 @@ class DeltaConsumer:
     def on_block_activated(self, key: str) -> None:
         """A block crossed from singleton/one-sided to comparison-bearing."""
 
-    def on_cell_removed(self, id_a: int, id_b: int) -> None:
-        """One comparison cell between two distinct entities vanished."""
+    def on_cells_removed(self, entity_id: int, partners) -> None:
+        """The cells of *entity_id* against each of *partners* vanished.
+
+        The mirror of :meth:`on_cells`, with *partners* read after the
+        entity left the key (same skip-yourself and no-keep rules).
+        """
 
     def on_placement_removed(self, entity_id: int) -> None:
         """One placement in a comparison-bearing block vanished."""
@@ -211,10 +227,9 @@ class IncrementalBlockIndex(DeltaConsumer):
                 other = sides[1 - source]
                 was_active = bool(side) and bool(other)
                 side.append(entity_id)
-                for partner in other:
-                    if partner != entity_id:
-                        for consumer in consumers:
-                            consumer.on_cell(entity_id, partner)
+                if other:
+                    for consumer in consumers:
+                        consumer.on_cells(entity_id, other)
                 if not was_active and side and other:
                     # The block just became comparison-bearing: every
                     # member (this one included) gains its placement now.
@@ -229,9 +244,9 @@ class IncrementalBlockIndex(DeltaConsumer):
                         consumer.on_placement(entity_id)
             else:
                 was_active = len(side) >= 2
-                for partner in side:
+                if side:
                     for consumer in consumers:
-                        consumer.on_cell(entity_id, partner)
+                        consumer.on_cells(entity_id, side)
                 side.append(entity_id)
                 if len(side) == 2:
                     for consumer in consumers:
@@ -289,10 +304,9 @@ class IncrementalBlockIndex(DeltaConsumer):
                 other = sides[1 - source]
                 was_active = bool(other)  # side holds the entity, so nonempty
                 side.remove(entity_id)
-                for partner in other:
-                    if partner != entity_id:
-                        for consumer in consumers:
-                            consumer.on_cell_removed(entity_id, partner)
+                if other:
+                    for consumer in consumers:
+                        consumer.on_cells_removed(entity_id, other)
                 if was_active and not (side and other):
                     # The block just lost comparison-bearing status:
                     # every member (this one included) loses its
@@ -309,9 +323,9 @@ class IncrementalBlockIndex(DeltaConsumer):
                         consumer.on_placement_removed(entity_id)
             else:
                 side.remove(entity_id)
-                for partner in side:
+                if side:
                     for consumer in consumers:
-                        consumer.on_cell_removed(entity_id, partner)
+                        consumer.on_cells_removed(entity_id, side)
                 if len(side) == 1:
                     for consumer in consumers:
                         consumer.on_placement_removed(entity_id)
@@ -387,25 +401,6 @@ class IncrementalBlockIndex(DeltaConsumer):
             return len(sides[0]) * len(sides[1]) - self._overlap.get(key, 0)
         n = len(sides[0])
         return n * (n - 1) // 2 if n >= 2 else 0
-
-    def cells_between(self, key: str, id_a: int, id_b: int) -> int:
-        """Comparison cells of the (distinct) pair inside *key*'s block.
-
-        0, 1 — or 2 for bipartite blocks holding both entities on both
-        sides, matching the repetition count the batch enumeration
-        yields.
-        """
-        if id_a == id_b:
-            return 0
-        mask_a = self._key_mask.get(id_a, {}).get(key, 0)
-        mask_b = self._key_mask.get(id_b, {}).get(key, 0)
-        if not mask_a or not mask_b:
-            return 0
-        if not self.two_sided:
-            return 1
-        return int(bool(mask_a & 1) and bool(mask_b & 2)) + int(
-            bool(mask_b & 1) and bool(mask_a & 2)
-        )
 
     def partners_of(
         self,

@@ -6,18 +6,23 @@ table maintains the same per-pair statistics — packed ``a << 32 | b``
 keys, common-block counts — plus the global factors the six weighting
 schemes consume (placements, active block count, edge count, node
 degrees), by folding in **only the delta pairs a new entity generates**.
+The index hands each touched key's opposite posting array to
+:meth:`DeltaPairTable.on_cells` in one call, and the table folds it
+with local lookups.
 
 ARCS needs care: a block's reciprocal-cardinality contribution changes
 retroactively each time that block grows, so eager per-pair ARCS
-maintenance would cost O(pairs-in-block) per insert.  Instead the ARCS
-sum is evaluated **lazily per pair** from the live index — the shared
-keys in sorted order, each contributing ``cells / cardinality`` exactly
-as the batch enumeration accumulates them — which keeps inserts O(delta)
-and still reproduces the batch float sums bit-identically.
-
-All six schemes are therefore evaluable for any single pair in
-O(keys-of-the-smaller-endpoint), with **no global rebuild**: exactly
-what query-time resolution needs.
+maintenance would cost O(pairs-in-block) per insert.  Instead ARCS is
+evaluated **lazily** from the live block source.  A query weighs its
+whole neighbourhood at once (MinoanER's node-centric view):
+:meth:`PairStatsView.arcs_neighbourhood` walks the query entity's keys
+once, in sorted order, computes ``1 / cardinality`` once per key and
+adds it to a per-candidate accumulator once per comparison cell — the
+same terms in the same order as the batch enumeration, so the sums are
+bit-identical.  A query therefore costs O(query keys × their postings),
+not O(candidates × shared keys); inserts stay O(delta), with **no
+global rebuild**.  :meth:`PairStatsView.arcs_of` keeps the per-pair
+form of the same sum as the reference for single-pair evaluation.
 """
 
 from __future__ import annotations
@@ -41,7 +46,11 @@ class PairStatsView:
     :class:`~repro.stream.processed_view.SurvivorPairTable` — evaluates
     them identically.  Subclasses provide:
 
-    * :meth:`common_of` / :meth:`arcs_of` — per-pair statistics;
+    * :meth:`common_of` — the per-pair common-block count;
+    * :meth:`block_source` — the live blocks ARCS is read from: an
+      object with ``two_sided``, ``keys_of(entity_id)`` (key → side
+      bitmask), ``postings(key)`` (the per-side member collections) and
+      ``cardinality_of(key)``;
     * ``placements`` (entity id → block placements), ``degrees``
       (entity id → distinct partners), ``active_blocks`` and
       ``edge_count`` — the global factors;
@@ -68,13 +77,99 @@ class PairStatsView:
         """Common-block count of the pair (0 when never co-blocked)."""
         raise NotImplementedError
 
-    def arcs_of(self, id_a: int, id_b: int) -> float:
-        """Lazy ARCS sum of the pair, bit-identical to the batch path."""
+    def block_source(self):
+        """The live block index or view the ARCS sums are read from."""
         raise NotImplementedError
 
     def interner(self):
         """The URI ↔ dense-id mapping of the underlying store."""
         raise NotImplementedError
+
+    # -- lazy ARCS -----------------------------------------------------------
+
+    def arcs_of(self, id_a: int, id_b: int) -> float:
+        """Lazy ARCS sum of one pair, bit-identical to the batch path.
+
+        The batch reference walks blocks in sorted-key order and adds
+        ``1 / cardinality`` once per comparison cell; this walks the
+        pair's shared keys in the same order, reading each block's
+        *current* cardinality — identical terms, identical order,
+        identical floats.  The per-pair reference behind :meth:`weight`
+        and :meth:`as_reference_stats`; queries use
+        :meth:`arcs_neighbourhood`.
+        """
+        if id_a == id_b:
+            return 0.0
+        blocks = self.block_source()
+        keys_a = blocks.keys_of(id_a)
+        keys_b = blocks.keys_of(id_b)
+        if len(keys_b) < len(keys_a):
+            shared = [key for key in keys_b if key in keys_a]
+        else:
+            shared = [key for key in keys_a if key in keys_b]
+        two_sided = blocks.two_sided
+        arcs = 0.0
+        for key in sorted(shared):
+            cardinality = blocks.cardinality_of(key)
+            if not cardinality:
+                continue
+            contribution = 1.0 / cardinality
+            if two_sided:
+                # One cell per (side-0 endpoint, side-1 endpoint)
+                # orientation: two when both sit on both sides.
+                mask_a, mask_b = keys_a[key], keys_b[key]
+                if mask_a & 1 and mask_b & 2:
+                    arcs += contribution
+                if mask_b & 1 and mask_a & 2:
+                    arcs += contribution
+            else:
+                arcs += contribution
+        return arcs
+
+    def arcs_neighbourhood(
+        self, entity_id: int, candidate_ids
+    ) -> dict[int, float]:
+        """ARCS of every (entity, candidate) pair in one postings pass.
+
+        Walks the entity's keys once, in sorted order, computing
+        ``1 / cardinality`` once per key and adding it to a candidate's
+        accumulator once per comparison cell: a candidate on the
+        opposite side of each side the entity occupies gets one add, so
+        one posted on both sides can get two.  Every candidate's sum
+        therefore has exactly :meth:`arcs_of`'s terms in its order,
+        starting from ``0.0`` — bit-identical floats.  The result
+        iterates in *candidate_ids* order (a mean over its values is
+        order-sensitive).
+
+        Raises:
+            ValueError: when *entity_id* is among the candidates.
+        """
+        arcs = dict.fromkeys(candidate_ids, 0.0)
+        if entity_id in arcs:
+            raise ValueError("an entity is not its own candidate")
+        if not arcs:
+            return arcs
+        blocks = self.block_source()
+        keys = blocks.keys_of(entity_id)
+        two_sided = blocks.two_sided
+        for key in sorted(keys):
+            cardinality = blocks.cardinality_of(key)
+            if not cardinality:
+                continue
+            contribution = 1.0 / cardinality
+            side0, side1 = blocks.postings(key)
+            if two_sided:
+                mask = keys[key]
+                walks = (
+                    (side1, side0) if mask == 3 else (side1,) if mask & 1 else (side0,)
+                )
+            else:
+                walks = (side0,)
+            for members in walks:
+                for partner in members:
+                    if partner in arcs:
+                        arcs[partner] += contribution
+        return arcs
 
     # -- scheme evaluation ---------------------------------------------------
 
@@ -219,14 +314,26 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
 
     # -- delta hooks ---------------------------------------------------------
 
-    def on_cell(self, id_a: int, id_b: int) -> None:
-        key = pack_pair(id_a, id_b)
-        count = self.common.get(key, 0)
-        if count == 0:
-            self.edge_count += 1
-            self.degrees[id_a] = self.degrees.get(id_a, 0) + 1
-            self.degrees[id_b] = self.degrees.get(id_b, 0) + 1
-        self.common[key] = count + 1
+    def on_cells(self, entity_id: int, partners) -> None:
+        common = self.common
+        degrees = self.degrees
+        high = entity_id << PAIR_SHIFT
+        new_edges = 0
+        for partner in partners:
+            if partner == entity_id:
+                continue
+            key = (
+                (partner << PAIR_SHIFT) | entity_id
+                if partner < entity_id
+                else high | partner
+            )
+            count = common.get(key, 0)
+            if not count:
+                new_edges += 1
+                degrees[entity_id] = degrees.get(entity_id, 0) + 1
+                degrees[partner] = degrees.get(partner, 0) + 1
+            common[key] = count + 1
+        self.edge_count += new_edges
 
     def on_placement(self, entity_id: int) -> None:
         count = self.placements.get(entity_id, 0)
@@ -238,20 +345,37 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
     def on_block_activated(self, key: str) -> None:
         self.active_blocks += 1
 
-    def on_cell_removed(self, id_a: int, id_b: int) -> None:
-        key = pack_pair(id_a, id_b)
-        count = self.common[key] - 1
-        if count == 0:
-            del self.common[key]
-            self.edge_count -= 1
-            for entity_id in (id_a, id_b):
-                remaining = self.degrees[entity_id] - 1
-                if remaining:
-                    self.degrees[entity_id] = remaining
-                else:
-                    del self.degrees[entity_id]
-        else:
-            self.common[key] = count
+    def on_cells_removed(self, entity_id: int, partners) -> None:
+        common = self.common
+        degrees = self.degrees
+        high = entity_id << PAIR_SHIFT
+        lost_edges = 0
+        for partner in partners:
+            if partner == entity_id:
+                continue
+            key = (
+                (partner << PAIR_SHIFT) | entity_id
+                if partner < entity_id
+                else high | partner
+            )
+            count = common[key] - 1
+            if count:
+                common[key] = count
+                continue
+            del common[key]
+            lost_edges += 1
+            remaining = degrees[partner] - 1
+            if remaining:
+                degrees[partner] = remaining
+            else:
+                del degrees[partner]
+        if lost_edges:
+            self.edge_count -= lost_edges
+            remaining = degrees[entity_id] - lost_edges
+            if remaining:
+                degrees[entity_id] = remaining
+            else:
+                del degrees[entity_id]
 
     def on_placement_removed(self, entity_id: int) -> None:
         count = self.placements[entity_id] - 1
@@ -275,6 +399,10 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
         """The store's URI ↔ dense-id mapping."""
         return self.index.store.interner
 
+    def block_source(self) -> IncrementalBlockIndex:
+        """The raw index: ARCS reads every live block."""
+        return self.index
+
     def _common_items(self):
         return self.common.items()
 
@@ -283,36 +411,3 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
         if id_a == id_b:
             return 0
         return self.common.get(pack_pair(id_a, id_b), 0)
-
-    def arcs_of(self, id_a: int, id_b: int) -> float:
-        """Lazy ARCS sum of the pair, bit-identical to the batch path.
-
-        The batch reference walks blocks in sorted-key order and adds
-        ``1 / cardinality`` once per comparison cell; this walks the
-        pair's shared keys in the same order, reading each block's
-        *current* cardinality — identical terms, identical order,
-        identical floats.
-        """
-        if id_a == id_b:
-            return 0.0
-        index = self.index
-        keys_a = index.keys_of(id_a)
-        keys_b = index.keys_of(id_b)
-        if len(keys_b) < len(keys_a):
-            keys_a, keys_b = keys_b, keys_a
-        shared = [key for key in keys_a if key in keys_b]
-        if not shared:
-            return 0.0
-        shared.sort()
-        arcs = 0.0
-        for key in shared:
-            cells = index.cells_between(key, id_a, id_b)
-            if not cells:
-                continue
-            cardinality = index.cardinality_of(key)
-            if not cardinality:
-                continue
-            contribution = 1.0 / cardinality
-            for _ in range(cells):
-                arcs += contribution
-        return arcs

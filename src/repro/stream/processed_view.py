@@ -550,6 +550,11 @@ class IncrementalProcessedView(DeltaConsumer):
 
     # -- serving -------------------------------------------------------------
 
+    @property
+    def two_sided(self) -> bool:
+        """True for a clean-clean (bipartite) store."""
+        return self.index.two_sided
+
     def keys_of(self, entity_id: int) -> dict[str, int]:
         """Key → side-bitmask map over *present* blocks (live view)."""
         self._apply_pending()
@@ -565,19 +570,12 @@ class IncrementalProcessedView(DeltaConsumer):
         count = len(sides[0])
         return count * (count - 1) // 2
 
-    def cells_between(self, key: str, id_a: int, id_b: int) -> int:
-        """Comparison cells of the pair inside the view's *key* block."""
-        if id_a == id_b:
-            return 0
-        mask_a = self._entity_keys.get(id_a, {}).get(key, 0)
-        mask_b = self._entity_keys.get(id_b, {}).get(key, 0)
-        if not mask_a or not mask_b:
-            return 0
-        if not self.index.two_sided:
-            return 1
-        return int(bool(mask_a & 1) and bool(mask_b & 2)) + int(
-            bool(mask_b & 1) and bool(mask_a & 2)
-        )
+    def postings(self, key: str) -> tuple[set[int], set[int]]:
+        """Per-side members of the view's *key* block (a present key).
+
+        The view's own sets — iterate, do not mutate.
+        """
+        return self._members[key]
 
     def partners_of(self, entity_id: int) -> list[int]:
         """Candidate partners of the entity through surviving blocks only.
@@ -891,6 +889,11 @@ class SurvivorPairTable(PairStatsView, ViewConsumer):
         """The store's URI ↔ dense-id mapping."""
         return self.view.index.store.interner
 
+    def block_source(self) -> IncrementalProcessedView:
+        """The processed view: ARCS reads the surviving (filtered) blocks,
+        batch-identical right after a reconciliation."""
+        return self.view
+
     def _common_items(self):
         return self.common.items()
 
@@ -899,35 +902,3 @@ class SurvivorPairTable(PairStatsView, ViewConsumer):
         if id_a == id_b:
             return 0
         return self.common.get(pack_pair(id_a, id_b), 0)
-
-    def arcs_of(self, id_a: int, id_b: int) -> float:
-        """Lazy ARCS over surviving blocks, batch-identical at reconcile.
-
-        Walks the pair's shared surviving keys in sorted order, reading
-        each *filtered* block's current cardinality — the same terms, in
-        the same order, as a batch graph enumeration over the processed
-        collection.
-        """
-        if id_a == id_b:
-            return 0.0
-        view = self.view
-        keys_a = view.keys_of(id_a)
-        keys_b = view.keys_of(id_b)
-        if len(keys_b) < len(keys_a):
-            keys_a, keys_b = keys_b, keys_a
-        shared = [key for key in keys_a if key in keys_b]
-        if not shared:
-            return 0.0
-        shared.sort()
-        arcs = 0.0
-        for key in shared:
-            cells = view.cells_between(key, id_a, id_b)
-            if not cells:
-                continue
-            cardinality = view.cardinality_of(key)
-            if not cardinality:
-                continue
-            contribution = 1.0 / cardinality
-            for _ in range(cells):
-                arcs += contribution
-        return arcs

@@ -79,10 +79,17 @@ def weigh_candidates(
 ) -> dict[int, float]:
     """Scheme weights of the (query, candidate) pairs, batch-ordered.
 
-    The pair's endpoints are ordered by URI (lexicographically smaller
-    first) before :meth:`~repro.stream.pairs.PairStatsView.weight_ids`,
-    the float-association order the batch graph uses.
+    ARCS weighs the whole neighbourhood in one postings pass
+    (:meth:`~repro.stream.pairs.PairStatsView.arcs_neighbourhood`).
+    The other schemes read each pair's common count and the global
+    factors, with the pair's endpoints ordered by URI (lexicographically
+    smaller first) before
+    :meth:`~repro.stream.pairs.PairStatsView.weight_ids` — the
+    float-association order the batch graph uses.  Either way the
+    result iterates in *candidate_ids* order.
     """
+    if scheme.upper() == "ARCS":
+        return pair_table.arcs_neighbourhood(entity_id, candidate_ids)
     weights: dict[int, float] = {}
     for candidate_id in candidate_ids:
         uri_c = uris[candidate_id]
