@@ -1,12 +1,10 @@
-"""Perf — MapReduce meta-blocking: formulations, executors, worker sweep.
+"""Perf — MapReduce meta-blocking: executors and worker sweep.
 
-Measures the parallel layer on the center synthetic workload:
+Measures the parallel layer
+(:mod:`repro.mapreduce.parallel_metablocking_ids`) on the center
+synthetic workload:
 
-* **formulation** — the int-ID record-batch formulation
-  (:mod:`repro.mapreduce.parallel_metablocking_ids`) against the seed's
-  string-tuple jobs, at one worker on the serial executor: wall clock
-  and shuffle bytes.  Gated: the int-ID formulation must win both.
-* **executor sweep** — the int-ID formulation at 1/2/4 workers on the
+* **executor sweep** — the int-ID jobs at 1/2/4 workers on the
   ``multiprocessing`` executor, *measured* wall clock (pool warm), on a
   larger center workload so per-task compute dominates IPC.  The gate is
   **hard** whenever the process executor exists: 4-worker wall must beat
@@ -43,7 +41,6 @@ from repro.mapreduce import (
     MapReduceEngine,
     ProcessExecutor,
     leaked_segments,
-    parallel_metablocking,
     parallel_metablocking_ids,
 )
 from repro.api import registry
@@ -51,7 +48,7 @@ from repro.metablocking import BlockingGraph
 
 #: required 4-worker measured speedup when >= 4 CPUs are available
 SPEEDUP_BAR = 1.5
-#: formulation comparison workload (the experiment-scale fixture)
+#: equivalence workload (the experiment-scale fixture)
 CENTER = SyntheticConfig(entities=300, overlap=0.7, seed=42)
 #: executor sweep workload (larger: per-task compute must dominate IPC)
 CENTER_LARGE = SyntheticConfig(entities=2000, overlap=0.7, seed=42)
@@ -67,20 +64,20 @@ def _blocks(config: SyntheticConfig):
     return BlockFiltering().process(BlockPurging().process(raw))
 
 
-def _run(runner, engine, blocks, scheme_name: str, pruner_name: str):
+def _run(engine, blocks, scheme_name: str, pruner_name: str):
     started = time.perf_counter()
-    edges, metrics = runner(
+    edges, metrics = parallel_metablocking_ids(
         engine, blocks, registry.create("weighting", scheme_name), registry.create("pruner", pruner_name)
     )
     elapsed = time.perf_counter() - started
     return edges, metrics, elapsed
 
 
-def _best_run(runner, engine, blocks, scheme_name: str, pruner_name: str):
+def _best_run(engine, blocks, scheme_name: str, pruner_name: str):
     """Best-of-N wall clock (first call also warms engine pools/caches)."""
     best = None
     for _ in range(REPEATS):
-        edges, metrics, elapsed = _run(runner, engine, blocks, scheme_name, pruner_name)
+        edges, metrics, elapsed = _run(engine, blocks, scheme_name, pruner_name)
         if best is None or elapsed < best[2]:
             best = (edges, metrics, elapsed)
     return best
@@ -89,44 +86,20 @@ def _best_run(runner, engine, blocks, scheme_name: str, pruner_name: str):
 def run_benchmark() -> dict:
     results: dict = {
         "workloads": {
-            "formulation": {"profile": "center", "entities": CENTER.entities * 2},
+            "equivalence": {"profile": "center", "entities": CENTER.entities * 2},
             "sweep": {"profile": "center", "entities": CENTER_LARGE.entities * 2},
         },
         "cpu_count": os.cpu_count() or 1,
         "speedup_bar": SPEEDUP_BAR,
     }
 
-    # -- formulation comparison (1 worker, serial executor) ----------------
-    blocks = _blocks(CENTER)
-    formulation: dict = {}
-    for name, runner in (
-        ("string", parallel_metablocking),
-        ("int", parallel_metablocking_ids),
-    ):
-        engine = MapReduceEngine(workers=1)
-        edges, metrics, elapsed = _best_run(runner, engine, blocks, "ARCS", "CNP")
-        formulation[name] = {
-            "wall_ms": round(elapsed * 1e3, 2),
-            "shuffle_bytes": sum(m.shuffle_bytes for m in metrics),
-            "shuffle_records": sum(m.shuffle_records for m in metrics),
-            "edges": len(edges),
-        }
-    results["formulation"] = formulation
-    results["int_beats_string_wall"] = (
-        formulation["int"]["wall_ms"] < formulation["string"]["wall_ms"]
-    )
-    results["int_beats_string_shuffle"] = (
-        formulation["int"]["shuffle_bytes"] < formulation["string"]["shuffle_bytes"]
-    )
-
     # -- equivalence (always gated) ----------------------------------------
+    blocks = _blocks(CENTER)
     sequential = registry.create("pruner", "CNP").prune(
         BlockingGraph(blocks, registry.create("weighting", "ARCS"))
     )
     with MapReduceEngine(workers=3, executor="serial") as engine:
-        parallel, _, _ = _run(
-            parallel_metablocking_ids, engine, blocks, "ARCS", "CNP"
-        )
+        parallel, _, _ = _run(engine, blocks, "ARCS", "CNP")
     results["equivalence_ok"] = [
         (e.pair, e.weight) for e in sequential
     ] == [(e.pair, e.weight) for e in parallel]
@@ -139,9 +112,7 @@ def run_benchmark() -> dict:
         large = _blocks(CENTER_LARGE)
         for workers in WORKER_SWEEP:
             with MapReduceEngine(workers=workers, executor="process") as engine:
-                edges, metrics, elapsed = _best_run(
-                    parallel_metablocking_ids, engine, large, "ARCS", "CNP"
-                )
+                edges, metrics, elapsed = _best_run(engine, large, "ARCS", "CNP")
             sweep[str(workers)] = {
                 "wall_ms": round(elapsed * 1e3, 2),
                 "shuffle_bytes": sum(m.shuffle_bytes for m in metrics),
@@ -175,20 +146,7 @@ def run_benchmark() -> dict:
 
 
 def format_report(results: dict) -> str:
-    lines = ["MapReduce meta-blocking: formulations + executor sweep", ""]
-    formulation = results["formulation"]
-    for name in ("string", "int"):
-        entry = formulation[name]
-        lines.append(
-            f"[{name:>6}] 1-worker wall {entry['wall_ms']:8.1f} ms   "
-            f"shuffle {entry['shuffle_bytes'] / 1024:8.0f} KiB "
-            f"({entry['shuffle_records']} records)   {entry['edges']} edges"
-        )
-    lines.append(
-        f"int-ID wins: wall={results['int_beats_string_wall']} "
-        f"shuffle={results['int_beats_string_shuffle']}"
-    )
-    lines.append("")
+    lines = ["MapReduce meta-blocking: executor sweep", ""]
     if results["worker_sweep"]:
         for workers, entry in results["worker_sweep"].items():
             lines.append(
@@ -221,8 +179,6 @@ def write_artifact(results: dict, path: str = ARTIFACT_PATH) -> str:
 def _passes(results: dict) -> bool:
     ok = (
         results["equivalence_ok"]
-        and results["int_beats_string_wall"]
-        and results["int_beats_string_shuffle"]
         and not results["leaked_shm_segments"]
     )
     if results["speedup_gated"]:
@@ -244,8 +200,6 @@ def test_perf_mapreduce():
     report("perf_mapreduce", format_report(results))
     write_artifact(results)
     assert results["equivalence_ok"]
-    assert results["int_beats_string_wall"]
-    assert results["int_beats_string_shuffle"]
     assert results["leaked_shm_segments"] == []
     if results["speedup_gated"]:
         assert results["sweep_4w_beats_1w"], (

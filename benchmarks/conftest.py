@@ -9,16 +9,10 @@ in DESIGN.md.  Each prints its rows/series and also writes them under
 (add ``-s`` to watch the tables stream by; the files are written either
 way).
 
-``bench_perf_graph.py`` is the perf-tracking benchmark for the int-id /
-array backbone behind ``BlockingGraph``: it times ``materialize()`` and a
-CNP pruning pass through the fast path against the retained string-tuple
-reference on the center/periphery workloads, asserts the committed ≥ 3×
-center speedup, and writes a ``BENCH_graph.json`` artifact at the repo
-root (CI uploads it per run for trajectory tracking).  Run it standalone
-with ``PYTHONPATH=src python benchmarks/bench_perf_graph.py`` or through
-pytest as ``pytest benchmarks/bench_perf_graph.py -s``.
+The batch pipeline's timing of record is the repository benchmark
+``perfbench/`` (workload ``batch-2k-full``).
 
-``bench_stream.py`` is the streaming counterpart: it replays the
+``bench_stream.py`` is the streaming perf benchmark: it replays the
 uniform/bursty/skewed arrival+query scenarios against the streaming
 resolver on the center workload, gates per-insert latency flatness
 (amortized O(delta)) and stream==batch equivalence, and writes the

@@ -23,10 +23,13 @@ Third-party components self-register with the :func:`register`
 decorator::
 
     from repro.api import register
+    from repro.metablocking import WeightingScheme
 
     @register("weighting", name="MYSCHEME")
     class MyScheme(WeightingScheme):
-        ...
+        def weights(self, blocks, table):
+            # one float64 weight per PairTable row
+            return table.arcs / table.common
 
 Lookups are case-insensitive, so the historical spellings (``ARCS``
 upper-case, benefit names lower-case) both resolve.

@@ -256,7 +256,6 @@ class EvaluationSpec:
 
 BACKEND_KINDS = ("sequential", "mapreduce", "stream", "sql")
 MAPREDUCE_EXECUTORS = ("serial", "process")
-MAPREDUCE_FORMULATIONS = ("int", "string")
 SQL_ENGINES = ("sqlite", "duckdb")
 
 
@@ -265,12 +264,12 @@ class BackendSpec:
     """How the plan executes.
 
     ``sequential`` runs the in-process batch pipeline; ``mapreduce``
-    produces the pruned edges through the parallel int-ID (or reference
-    string-tuple) MapReduce jobs on *workers* workers; ``stream``
-    replays a workload *scenario* through the streaming resolver and
-    takes the edges from the batch bridge; ``sql`` compiles purging,
-    filtering, weighting and pruning to SQL on *engine* (stdlib sqlite,
-    or DuckDB when installed), optionally out of core via *db_path*.
+    produces the pruned edges through the parallel int-ID MapReduce
+    jobs on *workers* workers; ``stream`` replays a workload *scenario*
+    through the streaming resolver and takes the edges from the batch
+    bridge; ``sql`` compiles purging, filtering, weighting and pruning to
+    SQL on *engine* (stdlib sqlite, or DuckDB when installed), optionally
+    out of core via *db_path*.
     All four produce bit-identical pruned edges and match decisions for
     the same spec.
     """
@@ -279,7 +278,6 @@ class BackendSpec:
     # -- mapreduce ----------------------------------------------------------
     workers: int = 2
     executor: str = "serial"
-    formulation: str = "int"
     # -- stream -------------------------------------------------------------
     scenario: ComponentSpec = field(default_factory=lambda: ComponentSpec("uniform"))
     processed_view: bool = False
@@ -315,11 +313,6 @@ class BackendSpec:
             raise SpecError(
                 f"unknown mapreduce executor {self.executor!r}; "
                 f"choose from {', '.join(MAPREDUCE_EXECUTORS)}"
-            )
-        if self.formulation not in MAPREDUCE_FORMULATIONS:
-            raise SpecError(
-                f"unknown mapreduce formulation {self.formulation!r}; "
-                f"choose from {', '.join(MAPREDUCE_FORMULATIONS)}"
             )
         if self.engine not in SQL_ENGINES:
             raise SpecError(
@@ -357,7 +350,6 @@ class BackendSpec:
             "kind": self.kind,
             "workers": self.workers,
             "executor": self.executor,
-            "formulation": self.formulation,
             "scenario": self.scenario.to_dict(),
             "processed_view": self.processed_view,
             "reconcile_every": self.reconcile_every,

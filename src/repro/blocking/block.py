@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-try:  # pragma: no cover - exercised through the array fast paths
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as _np
 
 from repro.model.interner import EntityInterner
 
@@ -130,7 +127,7 @@ class BlockIdArrays:
     The layout the vectorized meta-blocking path consumes: all side-1
     members concatenated block by block with an offsets array, likewise
     for side-2 members (dirty blocks contribute an empty side-2 span),
-    plus per-block bipartite flags and cardinalities.  Requires numpy.
+    plus per-block bipartite flags and cardinalities.
     """
 
     __slots__ = (
@@ -376,14 +373,12 @@ class BlockCollection:
             self.derived_cache["block.id_entity_index"] = cached
         return cached
 
-    def id_arrays(self) -> BlockIdArrays | None:
-        """CSR-style numpy view of the blocks (None when numpy is absent).
+    def id_arrays(self) -> BlockIdArrays:
+        """CSR-style numpy view of the blocks.
 
         Like the other id views this is a pure re-layout of the block
         structure, built lazily and invalidated on mutation.
         """
-        if _np is None:
-            return None
         if self._id_arrays is None:
             self._id_arrays = BlockIdArrays(self._ensure_id_views()[1])
         return self._id_arrays

@@ -1,10 +1,13 @@
 """Int-ID MapReduce meta-blocking on the shared-memory data plane.
 
-The retained string-tuple formulation in
-:mod:`repro.mapreduce.parallel_metablocking` ships one Python tuple per
-implied comparison through the shuffle.  This module is the rebuild on
-PR 1's integer backbone, now carried end to end by the zero-copy plane
-of :mod:`repro.mapreduce.shm`:
+The parallel meta-blocking of Efthymiou et al. (IEEE Big Data 2015) [4]
+in two families of strategies: **edge-centric** jobs aggregate the
+blocking graph's per-pair statistics in the shuffle and prune globally
+(WEP/CEP); **entity-centric** jobs route each entity's neighbourhood to
+one reducer, which applies the node-local decision (WNP's mean, CNP's
+top-k) before a vote merge applies the union/reciprocal semantics.
+Both run on the integer backbone, carried end to end by the zero-copy
+plane of :mod:`repro.mapreduce.shm`:
 
 * the driver publishes the collection's CSR id views (and, for pruning,
   the weighted edge table) **once** into shared segments — map tasks
@@ -22,7 +25,7 @@ of :mod:`repro.mapreduce.shm`:
 
 **Bit-identity contract.**  Every result — pair statistics, weights,
 surviving edges — is bit-identical to the sequential
-:class:`~repro.metablocking.graph.BlockingGraph` fast path, for any
+:class:`~repro.metablocking.graph.BlockingGraph`, for any
 worker count and either executor.  Floating-point addition is not
 associative, so this needs care at two points:
 
@@ -49,10 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-try:  # pragma: no cover - exercised throughout this module
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.blocking.block import BlockCollection
 from repro.mapreduce.engine import ArrayMapReduceJob, JobMetrics, MapReduceEngine
@@ -71,15 +71,7 @@ from repro.metablocking.graph import (
     pack_pair_arrays,
 )
 from repro.metablocking.pruning import CEP, CNP, PruningScheme, WEP, WNP
-from repro.metablocking.weighting import WeightingScheme, weight_pair_table
-
-
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - the container ships numpy
-        raise RuntimeError(
-            "the int-ID MapReduce formulation requires numpy; "
-            "use repro.mapreduce.parallel_metablocking instead"
-        )
+from repro.metablocking.weighting import WeightingScheme
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +221,7 @@ def parallel_pair_table(
     reducers carry each pair's first global cell index, so the driver can
     restore first-seen enumeration order after the shuffle scattered it.
     """
-    _require_numpy()
     csr = blocks.id_arrays()
-    assert csr is not None
     ranges = _block_ranges(csr, engine.workers)
     total_cells = int(csr.cardinality.sum()) if len(csr.cardinality) else 0
     if not ranges or not total_cells:
@@ -324,7 +314,7 @@ def _map_topk(chunk, partitions: int, params: dict):
         rank_b[top],
     )
     writer = ArenaWriter(arena)
-    # One logical reduce group, like the string formulation's "topk" key.
+    # One logical reduce group: every local top-k meets in one reducer.
     return (
         partition_batch_into(
             columns, np.zeros(len(top), dtype=np.int64), partitions, writer
@@ -522,9 +512,8 @@ def parallel_metablocking_ids(
 ) -> tuple[list[WeightedEdge], list[JobMetrics]]:
     """Int-ID parallel meta-blocking: statistics, weighting, pruning.
 
-    Stage 1 aggregates the pair table edge-centrically; weights are then
-    evaluated through the shared
-    :func:`~repro.metablocking.weighting.weight_pair_table` path; stage 2
+    Stage 1 aggregates the pair table edge-centrically; the scheme then
+    weighs it exactly as the sequential graph does; stage 2
     prunes — WEP/CEP as edge-centric array jobs, WNP/CNP (and their
     reciprocal variants) through the entity-centric retention + vote
     merge chain.  Results are bit-identical to the sequential
@@ -539,10 +528,11 @@ def parallel_metablocking_ids(
         TypeError: for pruning schemes with neither global nor
             node-centric parallel semantics.
     """
-    _require_numpy()
     table, stats_metrics = parallel_pair_table(engine, blocks)
     metrics = [stats_metrics]
-    weights = weight_pair_table(scheme, blocks, table)
+    weights = (
+        scheme.weights(blocks, table) if table.pairs else np.empty(0, dtype=np.float64)
+    )
     row_count = len(weights)
     rank = table.uri_rank
     workers = engine.workers

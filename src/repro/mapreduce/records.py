@@ -25,10 +25,7 @@ million rows at once.
 
 from __future__ import annotations
 
-try:  # pragma: no cover - exercised wherever the int-ID jobs run
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.mapreduce.shm import ArenaWriter, ArrayRef, attach_array
 from repro.utils.rng import MIX_GAMMA, MIX_M1, MIX_M2, stable_hash

@@ -1,11 +1,13 @@
 """The six weighting-scheme formulas, defined exactly once.
 
-Every execution surface — the scalar string path and the id/array fast
-paths in :mod:`repro.metablocking.weighting` (which the sequential,
-MapReduce and streaming backends all flow through), and the relational
-backend's SQL compiler (:mod:`repro.sqlbackend.compile`) — consumes the
-definitions in this module, so a formula lives in one place and the
-cross-backend bit-identity contract has a single source of truth.
+Every execution surface consumes the definitions in this module: the
+array schemes in :mod:`repro.metablocking.weighting` (which the
+sequential and MapReduce backends flow through), the streaming pair
+tables' per-pair evaluation (:class:`repro.stream.pairs.PairStatsView`)
+and the relational backend's SQL compiler
+(:mod:`repro.sqlbackend.compile`).  A formula therefore lives in one
+place and the cross-backend bit-identity contract has a single source
+of truth.
 
 Three kinds of definition per scheme:
 
@@ -31,10 +33,7 @@ from __future__ import annotations
 
 import math
 
-try:  # pragma: no cover - exercised through the array kernels
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as _np
 
 #: canonical scheme names, in the table order used by sweeps
 SCHEME_NAMES = ("CBS", "ECBS", "JS", "EJS", "ARCS", "X2")
@@ -60,8 +59,7 @@ def ecbs_log_factors(total_blocks: int, placement_counts) -> list[float]:
 def ejs_log_factor(edge_count: int, degree: int) -> float:
     """EJS discount for one entity: ``log((E + 1) / deg_i)``.
 
-    Isolated entities (degree 0) fall back to degree 1, matching the
-    scalar path's ``.get(uri, 1)`` smoothing.
+    Isolated entities (degree 0) fall back to degree 1.
     """
     return math.log((edge_count + 1) / (degree if degree else 1))
 

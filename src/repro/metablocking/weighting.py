@@ -18,134 +18,56 @@ parallel meta-blocking paper [4]) are implemented:
             blocks b: small (selective) blocks count more.
 ==========  ==================================================================
 
-Every scheme supports two evaluation paths with bit-identical results:
-
-* the **string path** — :meth:`~WeightingScheme.prepare` once, then
-  :meth:`~WeightingScheme.weight` per URI pair (the original API, used by
-  the reference graph construction and the MapReduce jobs);
-* the **id fast path** — :meth:`~WeightingScheme.prepare_ids` once
-  (precomputing per-entity factors — block counts, degrees and their log
-  discounts — as flat lists indexed by dense entity id), then
-  :meth:`~WeightingScheme.weight_ids` per packed pair.  Log factors are
-  computed once per entity instead of once per edge endpoint visit.
-
-``weight_ids`` must be called with ``id_a`` naming the endpoint whose URI
-sorts first, mirroring the canonical argument order of ``weight`` — float
-products associate left-to-right, so argument order is part of the
-bit-identity contract.
+A scheme implements one method, :meth:`~WeightingScheme.weights`: given
+the block collection and its :class:`~repro.metablocking.graph.PairTable`
+(one row per distinct comparison), return the float64 weight of every
+row.  Per-entity factors — block counts, degrees and their log
+discounts — are computed once per entity, then gathered per edge as
+array expressions.  ``ids_a`` holds the endpoint whose URI sorts first,
+and float products associate left-to-right, so that argument order is
+part of the bit-identity contract.
 
 The formulas themselves live in :mod:`repro.metablocking.scheme_defs`
-(shared with the SQL compiler); the classes here only orchestrate the
-"prepare globals, then weight each pair" dance around those kernels.
+(shared with the streaming tables and the SQL compiler); the classes
+here only gather the per-entity factors those kernels consume.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised through the array fast path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as _np
 
 from repro.blocking.block import BlockCollection
 from repro.metablocking import scheme_defs
-from repro.model.interner import PAIR_MASK, PAIR_SHIFT
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.metablocking.graph import PairTable
 
 
 class WeightingScheme(ABC):
-    """Base class: per-pair weight from co-occurrence statistics.
-
-    :meth:`prepare` (or :meth:`prepare_ids`) is called once with the full
-    statistics so schemes can compute global quantities (block counts,
-    node degrees); :meth:`weight` (or :meth:`weight_ids`) is then called
-    per pair.
-    """
+    """Base class: per-pair weight from co-occurrence statistics."""
 
     #: short name used in experiment tables (overridden per scheme)
     name = "scheme"
 
-    def prepare(
-        self,
-        blocks: BlockCollection,
-        pair_stats: dict[tuple[str, str], tuple[int, float]],
-    ) -> None:
-        """Hook for global precomputation (default: none)."""
-
-    def prepare_ids(
-        self,
-        blocks: BlockCollection,
-        pair_common: dict[int, int],
-    ) -> bool:
-        """Prepare the int-id fast path from packed-pair statistics.
-
-        Args:
-            blocks: the block collection (for its id views).
-            pair_common: packed pair → number of common blocks.
-
-        Returns:
-            True when the scheme supports :meth:`weight_ids`; the default
-            implementation opts out, making the graph fall back to the
-            string API.
-        """
-        return False
-
-    def weight_ids(
-        self, id_a: int, id_b: int, common_blocks: int, arcs: float
-    ) -> float:
-        """Weight of the edge (id_a, id_b); requires :meth:`prepare_ids`.
-
-        ``id_a`` must be the endpoint whose URI is lexicographically
-        smaller (see module docstring).
-        """
-        raise NotImplementedError(f"{self.name} has no id fast path")
-
-    def prepare_arrays(self, blocks: BlockCollection, ids_a, ids_b, common) -> bool:
-        """Prepare the vectorized path from distinct-edge endpoint arrays.
-
-        Args:
-            blocks: the block collection (for its id views).
-            ids_a / ids_b: per-edge endpoint ids (``ids_a`` holding the
-                lexicographically smaller URI of each pair).
-            common: per-edge common-block counts.
-
-        Returns:
-            True when the scheme supports :meth:`weight_array`; the
-            default opts out, making the graph fall back to the string
-            API.  Requires numpy.
-        """
-        return False
-
-    def weight_array(self, ids_a, ids_b, common, arcs):
-        """Vectorized weights for all edges; requires :meth:`prepare_arrays`.
-
-        Arguments are parallel numpy arrays as in :meth:`prepare_arrays`
-        plus per-edge ARCS sums; returns a float64 array.  Expression
-        structure mirrors :meth:`weight` exactly, keeping results
-        bit-identical elementwise.
-        """
-        raise NotImplementedError(f"{self.name} has no array fast path")
-
     @abstractmethod
-    def weight(self, uri_a: str, uri_b: str, common_blocks: int, arcs: float) -> float:
-        """Weight of the edge (uri_a, uri_b).
+    def weights(self, blocks: BlockCollection, table: "PairTable") -> _np.ndarray:
+        """Weights of every row of *table*, as a float64 array.
 
         Args:
-            common_blocks: number of blocks containing both descriptions.
-            arcs: sum of reciprocal block cardinalities over those blocks.
+            blocks: the block collection the table was aggregated from
+                (for per-entity statistics such as placement counts).
+            table: the collection's pair statistics — endpoint ids
+                (``ids_a`` sorting first by URI), common-block counts and
+                ARCS sums.  Never empty.
         """
 
 
-def _blocks_per_entity_ids(blocks: BlockCollection) -> list[int]:
-    """Per-entity placement counts, indexed by dense id."""
-    return [len(ordinals) for ordinals in blocks.id_entity_index()]
-
-
-def _placement_counts_array(blocks: BlockCollection):
-    """Per-entity placement counts as an int64 array (numpy path)."""
-    csr = blocks.id_arrays()
-    assert csr is not None
-    return _np.bincount(csr.sides, minlength=len(blocks.interner()))
+def _placement_counts(blocks: BlockCollection) -> _np.ndarray:
+    """Per-entity placement counts as an int64 array, indexed by id."""
+    return _np.bincount(blocks.id_arrays().sides, minlength=len(blocks.interner()))
 
 
 class CBS(WeightingScheme):
@@ -153,20 +75,8 @@ class CBS(WeightingScheme):
 
     name = "CBS"
 
-    def prepare_ids(self, blocks, pair_common) -> bool:
-        return True
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        return scheme_defs.cbs_weight(common_blocks)
-
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        return _np is not None
-
-    def weight_array(self, ids_a, ids_b, common, arcs):
-        return scheme_defs.cbs_weights(common)
-
-    def weight(self, uri_a: str, uri_b: str, common_blocks: int, arcs: float) -> float:
-        return scheme_defs.cbs_weight(common_blocks)
+    def weights(self, blocks, table):
+        return scheme_defs.cbs_weights(table.common)
 
 
 class ECBS(WeightingScheme):
@@ -179,55 +89,16 @@ class ECBS(WeightingScheme):
 
     name = "ECBS"
 
-    def __init__(self) -> None:
-        self._total_blocks = 1
-        self._blocks_per_entity: dict[str, int] = {}
-        self._log_factor: list[float] = []
-        self._log_factor_array = None
-
-    def prepare(self, blocks, pair_stats) -> None:
-        self._total_blocks = max(len(blocks), 1)
-        self._blocks_per_entity = {
-            uri: len(keys) for uri, keys in blocks.entity_index().items()
-        }
-
-    def prepare_ids(self, blocks, pair_common) -> bool:
+    def weights(self, blocks, table):
         total = max(len(blocks), 1)
-        self._total_blocks = total
-        # one log per entity, not per edge
-        self._log_factor = scheme_defs.ecbs_log_factors(
-            total, _blocks_per_entity_ids(blocks)
+        # math.log per entity (np.log can differ in the last ulp), still
+        # once per entity rather than once per edge endpoint.
+        factor = _np.array(
+            scheme_defs.ecbs_log_factors(total, _placement_counts(blocks).tolist())
         )
-        return True
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        factor = self._log_factor
-        return scheme_defs.factor_product(common_blocks, factor[id_a], factor[id_b])
-
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        if _np is None:
-            return False
-        total = max(len(blocks), 1)
-        self._total_blocks = total
-        counts = _placement_counts_array(blocks)
-        # math.log per entity (not np.log: it can differ in the last ulp
-        # from the reference's math.log) — still once per entity, not per
-        # edge endpoint.
-        self._log_factor_array = _np.array(
-            scheme_defs.ecbs_log_factors(total, counts.tolist())
+        return scheme_defs.factor_product(
+            table.common, factor[table.ids_a], factor[table.ids_b]
         )
-        return True
-
-    def weight_array(self, ids_a, ids_b, common, arcs):
-        factor = self._log_factor_array
-        return scheme_defs.factor_product(common, factor[ids_a], factor[ids_b])
-
-    def weight(self, uri_a: str, uri_b: str, common_blocks: int, arcs: float) -> float:
-        blocks_a = self._blocks_per_entity.get(uri_a, 1)
-        blocks_b = self._blocks_per_entity.get(uri_b, 1)
-        idf_a = scheme_defs.ecbs_log_factor(self._total_blocks, blocks_a)
-        idf_b = scheme_defs.ecbs_log_factor(self._total_blocks, blocks_b)
-        return scheme_defs.factor_product(common_blocks, idf_a, idf_b)
 
 
 class JS(WeightingScheme):
@@ -235,43 +106,10 @@ class JS(WeightingScheme):
 
     name = "JS"
 
-    def __init__(self) -> None:
-        self._blocks_per_entity: dict[str, int] = {}
-        self._block_counts: list[int] = []
-        self._block_counts_array = None
-
-    def prepare(self, blocks, pair_stats) -> None:
-        self._blocks_per_entity = {
-            uri: len(keys) for uri, keys in blocks.entity_index().items()
-        }
-
-    def prepare_ids(self, blocks, pair_common) -> bool:
-        self._block_counts = _blocks_per_entity_ids(blocks)
-        return True
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        counts = self._block_counts
-        union = scheme_defs.js_union(counts[id_a], counts[id_b], common_blocks)
-        return scheme_defs.js_weight(common_blocks, union)
-
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        if _np is None:
-            return False
-        self._block_counts_array = _placement_counts_array(blocks)
-        return True
-
-    def weight_array(self, ids_a, ids_b, common, arcs):
-        counts = self._block_counts_array
-        union = scheme_defs.js_union(counts[ids_a], counts[ids_b], common)
-        return scheme_defs.js_weights(common, union)
-
-    def weight(self, uri_a: str, uri_b: str, common_blocks: int, arcs: float) -> float:
-        union = scheme_defs.js_union(
-            self._blocks_per_entity.get(uri_a, 0),
-            self._blocks_per_entity.get(uri_b, 0),
-            common_blocks,
-        )
-        return scheme_defs.js_weight(common_blocks, union)
+    def weights(self, blocks, table):
+        counts = _placement_counts(blocks)
+        union = scheme_defs.js_union(counts[table.ids_a], counts[table.ids_b], table.common)
+        return scheme_defs.js_weights(table.common, union)
 
 
 class EJS(WeightingScheme):
@@ -284,63 +122,16 @@ class EJS(WeightingScheme):
 
     name = "EJS"
 
-    def __init__(self) -> None:
-        self._js = JS()
-        self._edge_count = 1
-        self._degrees: dict[str, int] = {}
-        self._log_factor: list[float] = []
-        self._log_factor_array = None
-
-    def prepare(self, blocks, pair_stats) -> None:
-        self._js.prepare(blocks, pair_stats)
-        self._edge_count = max(len(pair_stats), 1)
-        degrees: dict[str, int] = {}
-        for left, right in pair_stats:
-            degrees[left] = degrees.get(left, 0) + 1
-            degrees[right] = degrees.get(right, 0) + 1
-        self._degrees = degrees
-
-    def prepare_ids(self, blocks, pair_common) -> bool:
-        self._js.prepare_ids(blocks, pair_common)
-        edge_count = max(len(pair_common), 1)
-        degrees = [0] * len(blocks.id_entity_index())
-        for key in pair_common:
-            degrees[key >> PAIR_SHIFT] += 1
-            degrees[key & PAIR_MASK] += 1
-        self._set_log_factor(edge_count, degrees)
-        return True
-
-    def _set_log_factor(self, edge_count: int, degrees) -> None:
-        self._edge_count = edge_count
-        self._log_factor = scheme_defs.ejs_log_factors(edge_count, degrees)
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        js = self._js.weight_ids(id_a, id_b, common_blocks, arcs)
-        factor = self._log_factor
-        return scheme_defs.factor_product(js, factor[id_a], factor[id_b])
-
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        if _np is None:
-            return False
-        self._js.prepare_arrays(blocks, ids_a, ids_b, common)
+    def weights(self, blocks, table):
+        js = JS().weights(blocks, table)
         entities = len(blocks.interner())
-        degrees = _np.bincount(ids_a, minlength=entities) + _np.bincount(
-            ids_b, minlength=entities
+        degrees = _np.bincount(table.ids_a, minlength=entities) + _np.bincount(
+            table.ids_b, minlength=entities
         )
-        self._set_log_factor(max(len(common), 1), degrees.tolist())
-        self._log_factor_array = _np.asarray(self._log_factor)
-        return True
-
-    def weight_array(self, ids_a, ids_b, common, arcs):
-        js = self._js.weight_array(ids_a, ids_b, common, arcs)
-        factor = self._log_factor_array
-        return scheme_defs.factor_product(js, factor[ids_a], factor[ids_b])
-
-    def weight(self, uri_a: str, uri_b: str, common_blocks: int, arcs: float) -> float:
-        js = self._js.weight(uri_a, uri_b, common_blocks, arcs)
-        idf_a = scheme_defs.ejs_log_factor(self._edge_count, self._degrees.get(uri_a, 1))
-        idf_b = scheme_defs.ejs_log_factor(self._edge_count, self._degrees.get(uri_b, 1))
-        return scheme_defs.factor_product(js, idf_a, idf_b)
+        factor = _np.array(
+            scheme_defs.ejs_log_factors(max(len(table.common), 1), degrees.tolist())
+        )
+        return scheme_defs.factor_product(js, factor[table.ids_a], factor[table.ids_b])
 
 
 class ARCS(WeightingScheme):
@@ -353,20 +144,8 @@ class ARCS(WeightingScheme):
 
     name = "ARCS"
 
-    def prepare_ids(self, blocks, pair_common) -> bool:
-        return True
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        return scheme_defs.arcs_weight(arcs)
-
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        return _np is not None
-
-    def weight_array(self, ids_a, ids_b, common, arcs):
-        return scheme_defs.arcs_weight(arcs)
-
-    def weight(self, uri_a: str, uri_b: str, common_blocks: int, arcs: float) -> float:
-        return scheme_defs.arcs_weight(arcs)
+    def weights(self, blocks, table):
+        return scheme_defs.arcs_weight(table.arcs)
 
 
 class ChiSquare(WeightingScheme):
@@ -384,81 +163,11 @@ class ChiSquare(WeightingScheme):
 
     name = "X2"
 
-    def __init__(self) -> None:
-        self._total_blocks = 1
-        self._blocks_per_entity: dict[str, int] = {}
-        self._block_counts: list[int] = []
-        self._block_counts_array = None
-
-    def prepare(self, blocks, pair_stats) -> None:
-        self._total_blocks = max(len(blocks), 1)
-        self._blocks_per_entity = {
-            uri: len(keys) for uri, keys in blocks.entity_index().items()
-        }
-
-    def prepare_ids(self, blocks, pair_common) -> bool:
-        self._total_blocks = max(len(blocks), 1)
-        self._block_counts = _blocks_per_entity_ids(blocks)
-        return True
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        counts = self._block_counts
-        return self._statistic(common_blocks, counts[id_a], counts[id_b])
-
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        if _np is None:
-            return False
-        self._total_blocks = max(len(blocks), 1)
-        self._block_counts_array = _placement_counts_array(blocks)
-        return True
-
-    def weight_array(self, ids_a, ids_b, common, arcs):
-        counts = self._block_counts_array
+    def weights(self, blocks, table):
+        counts = _placement_counts(blocks)
         return scheme_defs.chi_square_weights(
-            common, counts[ids_a], counts[ids_b], self._total_blocks
+            table.common, counts[table.ids_a], counts[table.ids_b], max(len(blocks), 1)
         )
-
-    def weight(self, uri_a: str, uri_b: str, common_blocks: int, arcs: float) -> float:
-        in_a = self._blocks_per_entity.get(uri_a, 0)
-        in_b = self._blocks_per_entity.get(uri_b, 0)
-        return self._statistic(common_blocks, in_a, in_b)
-
-    def _statistic(self, common_blocks: int, in_a: int, in_b: int) -> float:
-        return scheme_defs.chi_square_statistic(
-            common_blocks, in_a, in_b, self._total_blocks
-        )
-
-
-def weight_pair_table(scheme: WeightingScheme, blocks: BlockCollection, table):
-    """Per-row weights of a pair table under *scheme* (float64 array).
-
-    The one place the "prepare globals, then weight each pair" dance is
-    spelled out for array-shaped statistics: schemes with a vectorized
-    path are evaluated as array expressions; schemes without one fall
-    back to the string API row by row.  Shared by the sequential
-    :meth:`~repro.metablocking.graph.BlockingGraph.materialize` fast path
-    and the MapReduce int-ID formulation, which guarantees both produce
-    bit-identical weights from identical statistics.
-    """
-    assert _np is not None
-    if not table.pairs:
-        return _np.empty(0, dtype=_np.float64)
-    if scheme.prepare_arrays(blocks, table.ids_a, table.ids_b, table.common):
-        return scheme.weight_array(table.ids_a, table.ids_b, table.common, table.arcs)
-    stats = {
-        pair: (count, arc)
-        for pair, count, arc in zip(
-            table.pairs, table.common.tolist(), table.arcs.tolist()
-        )
-    }
-    scheme.prepare(blocks, stats)
-    return _np.array(
-        [
-            scheme.weight(pair[0], pair[1], count, arc)
-            for pair, (count, arc) in stats.items()
-        ],
-        dtype=_np.float64,
-    )
 
 
 #: registry used by experiment sweeps

@@ -28,7 +28,7 @@ from repro.sqlbackend import schema as _schema
 from repro.sqlbackend.engine import Session, SqlBackendError, make_engine
 
 #: builtin scheme classes the compiler knows, by exact type (a subclass
-#: may override ``weight`` arbitrarily, so it must not match)
+#: may override ``weights`` arbitrarily, so it must not match)
 _SCHEME_NAMES = {
     _weighting.CBS: "CBS",
     _weighting.ECBS: "ECBS",

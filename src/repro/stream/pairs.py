@@ -27,21 +27,18 @@ form of the same sum as the reference for single-pair evaluation.
 
 from __future__ import annotations
 
-import math
-
+from repro.metablocking import scheme_defs
 from repro.model.interner import PAIR_MASK, PAIR_SHIFT, pack_pair
 from repro.stream.index import DeltaConsumer, IncrementalBlockIndex
-
-#: the weighting-scheme names the table can evaluate
-SCHEME_NAMES = ("CBS", "ECBS", "JS", "EJS", "ARCS", "X2")
 
 
 class PairStatsView:
     """Scheme evaluation over maintained per-pair + global statistics.
 
     The six weighting schemes are pure functions of ``(common, arcs)``
-    plus a handful of global factors; this mixin holds those expressions
-    once so every incrementally-maintained statistics table — the raw
+    plus a handful of global factors; this mixin evaluates them through
+    the scalar kernels of :mod:`repro.metablocking.scheme_defs`, so
+    every incrementally-maintained statistics table — the raw
     :class:`DeltaPairTable` and the processed-view
     :class:`~repro.stream.processed_view.SurvivorPairTable` — evaluates
     them identically.  Subclasses provide:
@@ -56,12 +53,11 @@ class PairStatsView:
       ``edge_count`` — the global factors;
     * :meth:`interner` — the URI ↔ id mapping behind :meth:`weight`.
 
-    The expressions mirror the reference
-    :meth:`~repro.metablocking.weighting.WeightingScheme.weight`
-    implementations term for term (float products associate
-    left-to-right with the lexicographically smaller URI first), so the
-    results equal what a freshly built batch graph over the subclass's
-    block universe would assign.
+    Those kernels are the ones the batch array schemes of
+    :mod:`repro.metablocking.weighting` apply elementwise (float products
+    associate left-to-right with the lexicographically smaller URI
+    first), so the results equal what a freshly built batch graph over
+    the subclass's block universe would assign.
     """
 
     __slots__ = ()
@@ -196,65 +192,45 @@ class PairStatsView:
         name = scheme_name.upper()
         common = self.common_of(id_a, id_b)
         if name == "CBS":
-            return float(common)
+            return scheme_defs.cbs_weight(common)
         if name == "ARCS":
-            return self.arcs_of(id_a, id_b)
+            return scheme_defs.arcs_weight(self.arcs_of(id_a, id_b))
         placements = self.placements
         if name == "ECBS":
             total = max(self.active_blocks, 1)
-            idf_a = math.log((total + 1) / placements.get(id_a, 1))
-            idf_b = math.log((total + 1) / placements.get(id_b, 1))
-            return common * idf_a * idf_b
-        if name == "JS":
-            return self._js(id_a, id_b, common)
-        if name == "EJS":
-            js = self._js(id_a, id_b, common)
+            return scheme_defs.factor_product(
+                common,
+                scheme_defs.ecbs_log_factor(total, placements.get(id_a, 1)),
+                scheme_defs.ecbs_log_factor(total, placements.get(id_b, 1)),
+            )
+        in_a = placements.get(id_a, 0)
+        in_b = placements.get(id_b, 0)
+        if name in ("JS", "EJS"):
+            js = scheme_defs.js_weight(common, scheme_defs.js_union(in_a, in_b, common))
+            if name == "JS":
+                return js
             edge_count = max(self.edge_count, 1)
-            deg_a = self.degrees.get(id_a) or 1
-            deg_b = self.degrees.get(id_b) or 1
-            idf_a = math.log((edge_count + 1) / deg_a)
-            idf_b = math.log((edge_count + 1) / deg_b)
-            return js * idf_a * idf_b
+            return scheme_defs.factor_product(
+                js,
+                scheme_defs.ejs_log_factor(edge_count, self.degrees.get(id_a, 0)),
+                scheme_defs.ejs_log_factor(edge_count, self.degrees.get(id_b, 0)),
+            )
         if name == "X2":
-            return self._chi_square(id_a, id_b, common)
+            return scheme_defs.chi_square_statistic(
+                common, in_a, in_b, max(self.active_blocks, 1)
+            )
         raise KeyError(
-            f"unknown weighting scheme {scheme_name!r}; choose from {SCHEME_NAMES}"
+            f"unknown weighting scheme {scheme_name!r}; "
+            f"choose from {scheme_defs.SCHEME_NAMES}"
         )
-
-    def _js(self, id_a: int, id_b: int, common: int) -> float:
-        union = (
-            self.placements.get(id_a, 0) + self.placements.get(id_b, 0) - common
-        )
-        if union <= 0:
-            return 0.0
-        return common / union
-
-    def _chi_square(self, id_a: int, id_b: int, common: int) -> float:
-        # Mirrors ChiSquare._statistic's accumulation cell by cell.
-        total = max(self.active_blocks, 1)
-        in_a = self.placements.get(id_a, 0)
-        in_b = self.placements.get(id_b, 0)
-        observed = [
-            [common, in_a - common],
-            [in_b - common, total - in_a - in_b + common],
-        ]
-        row_sums = [in_a, total - in_a]
-        col_sums = [in_b, total - in_b]
-        statistic = 0.0
-        for i in range(2):
-            for j in range(2):
-                expected = row_sums[i] * col_sums[j] / total
-                if expected > 0:
-                    deviation = observed[i][j] - expected
-                    statistic += deviation * deviation / expected
-        return statistic
 
     def as_reference_stats(self) -> dict[tuple[str, str], tuple[int, float]]:
         """URI-keyed (common, arcs) map, comparable to the batch oracle.
 
-        Matches ``BlockingGraph(blocks, ...)._pair_statistics()`` over
-        the subclass's block universe — entry for entry.  Meant for the
-        equivalence suite and for audits; cost is O(pairs).
+        Matches the batch pair table of the subclass's block universe
+        (``pair_table_for(blocks)``, keyed by its ``pairs``) entry for
+        entry.  Meant for the equivalence suite and for audits; cost is
+        O(pairs).
         """
         uris = self.interner().uri_table()
         out: dict[tuple[str, str], tuple[int, float]] = {}

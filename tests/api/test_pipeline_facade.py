@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Pipeline, PipelineSpec, SpecError
+from repro.api import Pipeline, PipelineSpec, SpecError, register, registry
 from repro.core.pipeline import MinoanER
 from repro.datasets.samples import load_movies, load_people, load_restaurants
+from repro.metablocking import WeightingScheme
 
 THRESHOLD = 0.35
 
@@ -155,6 +156,42 @@ class TestCrossBackendEquivalence:
         assert report.processed_blocks is processed
         direct = Pipeline(spec).execute(kb1, kb2, match=False)
         assert edge_triples(report.edges) == edge_triples(direct.edges)
+
+
+class TestCustomSchemeExtension:
+    """The extension contract: a registered scheme implements ``weights`` only."""
+
+    @pytest.fixture
+    def custom_spec(self, monkeypatch):
+        # Register into a copy of the process-wide table, so the scheme
+        # is gone again after the test.
+        monkeypatch.setattr(registry, "_components", dict(registry._components))
+        monkeypatch.setattr(registry, "_display", dict(registry._display))
+
+        @register("weighting", name="RARE-FIRST")
+        class RareFirst(WeightingScheme):
+            """ARCS over common blocks: rare co-occurrences rank first."""
+
+            def weights(self, blocks, table):
+                return table.arcs / table.common
+
+        return SPEC.with_components(weighting="RARE-FIRST")
+
+    def test_sequential_and_mapreduce_identical(self, custom_spec):
+        kb1, kb2, _ = load_movies()
+        sequential = Pipeline(custom_spec).execute(kb1, kb2, match=False)
+        mapreduce = Pipeline(
+            custom_spec.with_backend(kind="mapreduce", workers=3)
+        ).execute(kb1, kb2, match=False)
+        assert sequential.edges
+        assert edge_triples(sequential.edges) == edge_triples(mapreduce.edges)
+        arcs = Pipeline(SPEC).execute(kb1, kb2, match=False)
+        assert edge_triples(sequential.edges) != edge_triples(arcs.edges)
+
+    def test_sql_backend_rejects_it(self, custom_spec):
+        kb1, kb2, _ = load_movies()
+        with pytest.raises(SpecError, match="RareFirst"):
+            Pipeline(custom_spec.with_backend(kind="sql")).execute(kb1, kb2, match=False)
 
 
 class TestRunReport:

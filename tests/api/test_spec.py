@@ -136,6 +136,10 @@ class TestValidation:
         with pytest.raises(SpecError):
             PipelineSpec.from_dict({"backend": {"executor": "gpu"}})
 
+    def test_formulation_key_rejected(self):
+        with pytest.raises(SpecError, match="formulation"):
+            PipelineSpec.from_dict({"backend": {"kind": "mapreduce", "formulation": "int"}})
+
     def test_bad_reconcile_interval(self):
         with pytest.raises(SpecError):
             PipelineSpec.from_dict(

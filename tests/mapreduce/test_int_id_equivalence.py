@@ -1,10 +1,10 @@
 """Bit-identity suite: int-ID parallel meta-blocking == sequential graph.
 
-The int-ID MapReduce formulation promises results **bit-identical** to
-the sequential :class:`~repro.metablocking.graph.BlockingGraph` fast
-path — pairs, float weights and surviving-edge order — for all six
-weighting schemes × the four canonical pruners, on all three sample
-corpora, at every worker count, on both executors.  This suite is that
+MapReduce meta-blocking promises results **bit-identical** to the
+sequential :class:`~repro.metablocking.graph.BlockingGraph` — pairs,
+float weights and surviving-edge order — for all six weighting schemes
+× the four canonical pruners, on all three sample corpora, at every
+worker count, on both executors.  This suite is that
 promise spelled out.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from metablocking import reference as oracle
 from repro.blocking.token_blocking import TokenBlocking
 from repro.datasets import load_movies, load_people, load_restaurants
 from repro.mapreduce import (
@@ -22,7 +23,13 @@ from repro.mapreduce import (
     parallel_pair_table,
 )
 from repro.metablocking.graph import BlockingGraph, pair_table_for
-from repro.metablocking.pruning import make_pruner
+from repro.metablocking.pruning import (
+    CEP,
+    CNP,
+    PRUNERS,
+    ReciprocalCNP,
+    make_pruner,
+)
 from repro.metablocking.weighting import make_scheme
 
 CORPORA = ("movies", "restaurants", "people")
@@ -49,7 +56,7 @@ def corpus_blocks():
 
 @pytest.fixture(scope="module")
 def sequential_edges(corpus_blocks):
-    """Expected (pair, weight) lists from the sequential fast path."""
+    """Expected (pair, weight) lists from the sequential graph."""
     expected = {}
     for corpus, blocks in corpus_blocks.items():
         for scheme_name in SCHEME_NAMES:
@@ -111,6 +118,49 @@ class TestPairTable:
             assert table.pairs == reference.pairs, workers
             assert np.array_equal(table.common, reference.common)
             assert np.array_equal(table.arcs, reference.arcs)
+
+
+    def test_worker_invariance(self, corpus_blocks):
+        blocks = corpus_blocks["movies"]
+        one, _ = parallel_pair_table(MapReduceEngine(workers=1), blocks)
+        eight, _ = parallel_pair_table(MapReduceEngine(workers=8), blocks)
+        assert one.pairs == eight.pairs
+        assert np.array_equal(one.common, eight.common)
+        assert np.array_equal(one.arcs, eight.arcs)
+
+
+class TestAgainstOracle:
+    """The MapReduce path equals the readable oracle, not only the graph.
+
+    The suites above compare the parallel jobs with the sequential
+    graph, which shares the columnar kernels; these compare them with
+    the string-tuple statistics, scalar weights and adjacency-dict
+    pruning of :mod:`metablocking.reference`.
+    """
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_pair_table_matches_oracle_statistics(self, corpus_blocks, corpus):
+        blocks = corpus_blocks[corpus]
+        table, _ = parallel_pair_table(MapReduceEngine(workers=3), blocks)
+        rows = dict(zip(table.pairs, zip(table.common.tolist(), table.arcs.tolist())))
+        expected = oracle.pair_statistics(blocks)
+        assert rows == expected
+        assert list(rows) == list(expected)  # first-seen row order
+
+    @pytest.mark.parametrize("pruner_name", sorted(PRUNERS))
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    def test_pruned_edges_match_oracle(self, corpus_blocks, scheme_name, pruner_name):
+        blocks = corpus_blocks["movies"]
+        expected = oracle.prune(
+            pruner_name, blocks, oracle.weights(scheme_name, blocks)
+        )
+        parallel, _ = parallel_metablocking_ids(
+            MapReduceEngine(workers=3),
+            blocks,
+            make_scheme(scheme_name),
+            make_pruner(pruner_name),
+        )
+        assert parallel == expected
 
 
 class TestSerialExecutorEquivalence:
@@ -205,3 +255,49 @@ class TestEdgeCases:
                 make_scheme("CBS"),
                 Bogus(),
             )
+
+
+class TestExplicitBudgets:
+    """Pruners with a fixed k (not derived from the blocks) stay identical."""
+
+    @pytest.mark.parametrize(
+        "pruner", [CEP(k=25), CNP(k=2), ReciprocalCNP(k=2)], ids=lambda p: p.name
+    )
+    def test_bit_identical(self, corpus_blocks, pruner):
+        blocks = corpus_blocks["movies"]
+        expected = _as_pairs(pruner.prune(BlockingGraph(blocks, make_scheme("ARCS"))))
+        parallel, _ = parallel_metablocking_ids(
+            MapReduceEngine(workers=4), blocks, make_scheme("ARCS"), pruner
+        )
+        assert _as_pairs(parallel) == expected
+
+
+class TestJobChain:
+    def test_edge_centric_runs_two_jobs(self, corpus_blocks):
+        _, metrics = parallel_metablocking_ids(
+            MapReduceEngine(workers=2),
+            corpus_blocks["movies"],
+            make_scheme("CBS"),
+            make_pruner("WEP"),
+        )
+        assert [m.job_name for m in metrics] == ["pair-statistics-ids", "wep-pruning-ids"]
+
+    def test_entity_centric_runs_three_jobs(self, corpus_blocks):
+        # statistics + per-node retention + vote merge
+        _, metrics = parallel_metablocking_ids(
+            MapReduceEngine(workers=2), corpus_blocks["movies"], make_scheme("ARCS"), CNP(k=2)
+        )
+        assert len(metrics) == 3
+        assert metrics[0].job_name == "pair-statistics-ids"
+
+    def test_eight_workers_match_one(self, corpus_blocks):
+        runs = [
+            parallel_metablocking_ids(
+                MapReduceEngine(workers=workers),
+                corpus_blocks["movies"],
+                make_scheme("JS"),
+                make_pruner("WNP"),
+            )[0]
+            for workers in (1, 8)
+        ]
+        assert _as_pairs(runs[0]) == _as_pairs(runs[1])

@@ -57,15 +57,15 @@ class TestAccessors:
         graph = BlockingGraph(blocks(), CBS())
         assert graph.nodes() == ["a", "b", "c", "d"]
 
-    def test_adjacency_symmetric(self):
+    def test_pair_table_rows_align_with_edges(self):
         graph = BlockingGraph(blocks(), CBS())
-        adjacency = graph.adjacency()
-        assert ("b", 2.0) in adjacency["a"]
-        assert ("a", 2.0) in adjacency["b"]
+        table = graph.pair_table()
+        assert table.pairs == list(graph.materialize())
+        assert table.common.tolist() == list(graph.materialize().values())
 
-    def test_neighbors_of_isolated(self):
-        graph = BlockingGraph(blocks(), CBS())
-        assert graph.neighbors("ghost") == []
+    def test_empty_graph_has_pair_table(self):
+        table = BlockingGraph(BlockCollection(), CBS()).pair_table()
+        assert table.pairs == []
 
     def test_average_and_total_weight(self):
         graph = BlockingGraph(blocks(), CBS())

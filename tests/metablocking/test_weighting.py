@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.blocking.block import Block, BlockCollection
-from repro.metablocking.graph import BlockingGraph
+from repro.metablocking.graph import BlockingGraph, PairTable, pair_table_for
 from repro.metablocking.weighting import (
     ARCS,
     CBS,
@@ -75,11 +76,17 @@ class TestEJS:
         assert max(weights, key=weights.get) == ("d", "e")
 
     def test_zero_js_stays_zero(self):
-        scheme = EJS()
-        stats = {("x", "y"): (0, 0.0)}
         collection = BlockCollection([Block("k", ["x", "y"])])
-        scheme.prepare(collection, stats)
-        assert scheme.weight("x", "y", 0, 0.0) == 0.0
+        table = pair_table_for(collection)
+        no_common = PairTable(
+            table.pairs,
+            table.ids_a,
+            table.ids_b,
+            np.zeros(1, dtype=np.int64),
+            table.arcs,
+            table.uri_rank,
+        )
+        assert EJS().weights(collection, no_common).tolist() == [0.0]
 
 
 class TestARCS:

@@ -117,8 +117,8 @@ class TestFacadeErrors:
         class Exotic(WeightingScheme):
             name = "exotic"
 
-            def weight(self, common, stats_a, stats_b, context):
-                return 1.0
+            def weights(self, blocks, table):
+                return table.arcs
 
         kb1, kb2, _ = load_movies()
         with SqlMetaBlocker() as mb:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from metablocking import reference as oracle
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.qgrams import QGramsBlocking
@@ -101,7 +102,7 @@ class TestPairStatisticsEquivalence:
     def test_common_and_arcs_match_reference(self, corpus, streamed):
         kb1, kb2 = corpus
         raw = TokenBlocking().build(kb1, kb2)
-        reference = BlockingGraph(raw, make_scheme("CBS"))._pair_statistics()
+        reference = oracle.pair_statistics(raw)
         assert streamed.pairs.as_reference_stats() == reference
 
     def test_global_factors_match_batch(self, corpus, streamed):
@@ -148,7 +149,7 @@ class TestDirtyStreaming:
         resolver = make_streamed(collection, None)
         raw = TokenBlocking().build(collection)
         assert_blocks_equal(resolver.index.snapshot(), raw)
-        reference = BlockingGraph(raw, make_scheme("CBS"))._pair_statistics()
+        reference = oracle.pair_statistics(raw)
         assert resolver.pairs.as_reference_stats() == reference
         for scheme_name in sorted(SCHEMES):
             batch = make_pruner("CNP").prune(

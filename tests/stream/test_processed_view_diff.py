@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metablocking import reference as oracle
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging, cardinality_histogram
 from repro.datasets import load_movies, load_people, load_restaurants
@@ -176,10 +177,7 @@ def test_reconcile_restores_exactness_under_any_interleaving(data):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_survivor_stats_follow_reconciled_view(data):
-    """SurvivorPairTable == batch graph over the processed collection."""
-    from repro.metablocking.graph import BlockingGraph
-    from repro.metablocking.weighting import make_scheme
-
+    """SurvivorPairTable == batch statistics over the processed collection."""
     _name, two_sources, arrivals = _draw_arrivals(data)
     sources = ("kb1", "kb2") if two_sources else ("kb1",)
     store = StreamingEntityStore(sources=sources)
@@ -192,7 +190,7 @@ def test_survivor_stats_follow_reconciled_view(data):
             view.reconcile()
     view.reconcile()
     processed = index.snapshot_processed()
-    reference = BlockingGraph(processed, make_scheme("CBS"))._pair_statistics()
+    reference = oracle.pair_statistics(processed)
     assert table.as_reference_stats() == reference
     assert table.active_blocks == len(processed)
     assert table.total_assignments == processed.total_assignments()

@@ -16,13 +16,12 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metablocking import reference as oracle
 from repro.blocking.token_blocking import TokenBlocking
-from repro.metablocking.graph import BlockingGraph
-from repro.metablocking.weighting import make_scheme
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 from repro.stream import StreamResolver
-from repro.stream.pairs import SCHEME_NAMES
+from repro.metablocking.scheme_defs import SCHEME_NAMES
 from repro.stream.resolver import prune_neighbourhood, weigh_candidates
 
 TOKENS = ["alpha", "beta", "gamma", "delta", "kappa", "sigma"]
@@ -59,7 +58,7 @@ def _assert_equivalent(resolver: StreamResolver, collection: EntityCollection):
     assert snapshot.keys() == batch.keys()
     for key in batch.keys():
         assert snapshot[key].entities1 == batch[key].entities1
-    reference = BlockingGraph(batch, make_scheme("CBS"))._pair_statistics()
+    reference = oracle.pair_statistics(batch)
     assert resolver.pairs.as_reference_stats() == reference
 
 

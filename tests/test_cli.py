@@ -462,15 +462,21 @@ class TestMapReduce:
                 [
                     "mapreduce", "--kb1", kb_a, "--kb2", kb_b,
                     "--workers", "1", "2",
-                    "--executor", "serial", "--formulation", "both",
+                    "--executor", "serial",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "MapReduce meta-blocking sweep" in out
-        assert "string" in out and "int" in out
+        assert "serial" in out
         assert "speedup" in out
+
+    def test_formulation_flag_removed(self, capsys, movies_paths):
+        kb_a, _, _ = movies_paths
+        with pytest.raises(SystemExit):
+            main(["mapreduce", "--kb1", kb_a, "--formulation", "int"])
+        assert "--formulation" in capsys.readouterr().err
 
     def test_process_executor(self, capsys, movies_paths):
         from repro.mapreduce import ProcessExecutor
@@ -565,7 +571,7 @@ class TestObservability:
                 [
                     "mapreduce", "--kb1", kb_a, "--kb2", kb_b,
                     "--workers", "2", "--executor", "serial",
-                    "--formulation", "string", "--trace-dir", mr_dir,
+                    "--trace-dir", mr_dir,
                 ]
             )
             == 0
